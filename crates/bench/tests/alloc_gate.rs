@@ -10,27 +10,38 @@
 //! scratch, so a warmed-up round performs zero allocations end to end.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use wsn_bench::hotpath::{allocprobe, steady_state_hotpath};
 use wsn_bench::lint;
+use wsn_sim::{Actor, ActorId, Context, Kernel};
 
 struct CountingAlloc;
 
-static ALLOCATION_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The harness runs tests on
+    /// parallel threads; counting per thread keeps a sibling test's
+    /// allocations out of the measured window. `const`-initialised and
+    /// drop-free, so touching it never allocates.
+    static ALLOCATION_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATION_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -42,8 +53,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocation_calls() -> u64 {
-    ALLOCATION_CALLS.load(Ordering::Relaxed)
+    ALLOCATION_CALLS.with(Cell::get)
 }
 
 fn install_probe() {
@@ -85,4 +97,56 @@ fn warm_application_rounds_reuse_runtime_scratch() {
     assert_eq!(a.allocations, Some(0));
     assert_eq!(b.allocations, Some(0));
     assert_eq!(a.events, b.events, "warm rounds must be deterministic");
+}
+
+/// A flood burst on the bare kernel: a source's timer fans one message
+/// out to every sink, one tick ahead, and each sink answers the source
+/// one tick later — the shape of a §5.1/§5.2 flood.
+struct Source {
+    sinks: usize,
+}
+
+impl Actor<u32> for Source {
+    fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: ActorId, _msg: u32) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _tag: u64) {
+        for sink in 1..=self.sinks {
+            ctx.send_after(sink, 1, 0);
+        }
+    }
+}
+
+struct Sink;
+
+impl Actor<u32> for Sink {
+    fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ActorId, msg: u32) {
+        if msg == 0 {
+            ctx.send_after(0, 1, 1);
+        }
+    }
+}
+
+#[test]
+fn second_flood_burst_reuses_the_event_queue_chunks() {
+    const FANOUT: usize = 96;
+    let mut k: Kernel<u32> = Kernel::new(11);
+    k.add_actor(Box::new(Source { sinks: FANOUT }));
+    for _ in 0..FANOUT {
+        k.add_actor(Box::new(Sink));
+    }
+    let burst = |k: &mut Kernel<u32>| {
+        let at = k.now() + 1;
+        k.schedule_timer(at, 0, 0);
+        let before = allocation_calls();
+        let report = k.run();
+        (report.events_processed, allocation_calls() - before)
+    };
+    let (first_events, _) = burst(&mut k);
+    let (events, allocations) = burst(&mut k);
+    assert_eq!(events, first_events);
+    assert_eq!(events, 1 + 2 * FANOUT as u64);
+    assert_eq!(
+        allocations, 0,
+        "the second flood burst allocated on {events} events"
+    );
 }

@@ -521,7 +521,8 @@ impl Medium {
     /// Attempts delivery of one already-transmitted copy to `to`: loss,
     /// partition and liveness checks, reception energy, and the optional
     /// chaos anomalies (reorder delay, duplicated copy). Returns whether
-    /// the primary copy was delivered.
+    /// the primary copy was delivered; callers count deliveries into
+    /// `medium.delivered` (once per broadcast, not per receiver).
     fn try_deliver<M: Payload + Clone>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -546,7 +547,6 @@ impl Medium {
             units as f64 * self.radio.rx_energy_per_unit,
         );
         self.check_depletion(to, ctx.now());
-        ctx.stats().incr("medium.delivered");
         let mut delay = self.delivery_delay(ctx, from, units);
         let actor = self.actor_of[to].expect("destination node has no bound actor");
         if self.chaos.is_off() {
@@ -612,7 +612,11 @@ impl Medium {
         ctx.stats().add("medium.tx_units", units);
         self.check_depletion(from, ctx.now());
         let stamp = self.tx_stamp(from, ctx.now(), units);
-        self.try_deliver(ctx, from, to, units, msg, stamp)
+        let delivered = self.try_deliver(ctx, from, to, units, msg, stamp);
+        if delivered {
+            ctx.stats().incr("medium.delivered");
+        }
+        delivered
     }
 
     /// Broadcasts `msg` from `from` to *all* its radio neighbors with one
@@ -639,12 +643,15 @@ impl Medium {
         self.check_depletion(from, ctx.now());
 
         let stamp = self.tx_stamp(from, ctx.now(), units);
-        let neighbors: Vec<usize> = self.graph.neighbors(from).to_vec();
         let mut delivered = 0;
-        for to in neighbors {
+        for i in 0..self.graph.degree(from) {
+            let to = self.graph.neighbors(from)[i];
             if self.try_deliver(ctx, from, to, units, msg.clone(), stamp) {
                 delivered += 1;
             }
+        }
+        if delivered > 0 {
+            ctx.stats().add("medium.delivered", delivered as u64);
         }
         delivered
     }
