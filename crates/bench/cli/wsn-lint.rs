@@ -640,14 +640,16 @@ fn main() -> ExitCode {
         // --mutate-misorder flips the sharded kernel's deterministic
         // boundary merge; the gate MUST then fail (CI inverts the exit
         // code to prove the differential suite has teeth).
-        if args.iter().any(|a| a == "--mutate-misorder") {
-            std::env::set_var("WSN_SHARD_MISORDER", "1");
-        }
+        let sabotage = if args.iter().any(|a| a == "--mutate-misorder") {
+            wsn_runtime::ShardSabotage::MisorderedMerge
+        } else {
+            wsn_runtime::ShardSabotage::None
+        };
         let workers = match parse_flag_value(&args, "--scale-workers", 4usize) {
             Ok(v) => v,
             Err(e) => return usage_error(&e),
         };
-        return match lint::parallel_gate(workers) {
+        return match lint::parallel_gate(workers, sabotage) {
             Ok(checked) => {
                 println!(
                     "wsn-lint --parallel-gate: certificate gating holds and {checked} sharded \

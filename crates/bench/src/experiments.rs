@@ -11,7 +11,7 @@ use wsn_core::{
     ReduceOp, ReduceProgram, SortProgram, TreeVm, VirtualGrid, VirtualTree, Vm,
 };
 use wsn_net::{DeploymentSpec, LinkModel, RadioModel, UnitDiskGraph};
-use wsn_runtime::{AppReport, ParallelConfig, PhysicalRuntime};
+use wsn_runtime::{AppReport, ParallelConfig, PhysicalRuntime, ShardSabotage};
 use wsn_synth::{
     quadtree_task_graph, AnnealingMapper, CentroidMapper, Mapper, Mapping, MappingCost,
     QuadrantMapper, RandomFeasibleMapper,
@@ -379,26 +379,23 @@ pub fn exp10_group_cost(side: u32, levels: &[u8]) -> Table {
             },
         );
         vm.run();
-        let stats = vm.stats().clone();
-        let hops = stats.histogram("vm.hops").expect("sends happened").clone();
+        let hops = vm.stats().histogram("vm.hops").expect("sends happened");
         let b = 1u64 << level;
         // Mean over followers only (the leader does not send to itself).
         let pred_mean = (b * b * (b - 1)) as f64 / (b * b - 1) as f64;
         let (_, pred_max) = follower_to_leader_hops(level);
         let blocks = (u64::from(side) >> level).pow(2);
         let pred_energy = 2.0 * (b * b * (b - 1) * blocks) as f64;
-        let mut hops_sorted = hops.clone();
         t.row(vec![
             level.to_string(),
             format!("{b}x{b}"),
-            f(hops.mean().unwrap(), 3),
+            f(hops.mean(), 3),
             f(pred_mean, 3),
-            f(hops_sorted.quantile(1.0).unwrap(), 0),
+            f(hops.max(), 0),
             pred_max.to_string(),
             f(vm.ledger().total(), 0),
             f(pred_energy, 0),
         ]);
-        let _ = stats.counter("vm.messages");
     }
     t
 }
@@ -829,19 +826,31 @@ pub fn record_end_to_end_trace(
     seed: u64,
     trace_events: bool,
 ) -> wsn_obs::TraceDocument {
-    record_end_to_end_trace_with(side, per_cell, seed, trace_events, RunEngine::Sequential).0
+    record_end_to_end_trace_with(
+        side,
+        per_cell,
+        seed,
+        trace_events,
+        RunEngine::Sequential,
+        ShardSabotage::None,
+    )
+    .0
 }
 
 /// [`record_end_to_end_trace`] parameterized by execution engine, also
 /// returning the application phase's [`wsn_core::RunMetrics`] — the
 /// triple (JSONL trace, causal log inside it, metrics) the differential
-/// determinism suite compares byte for byte across engines.
+/// determinism suite compares byte for byte across engines. `sabotage`
+/// plants a sharded-engine defect for the mutation checks (pass
+/// [`ShardSabotage::None`] for a real run; the sequential engine ignores
+/// it).
 pub fn record_end_to_end_trace_with(
     side: u32,
     per_cell: usize,
     seed: u64,
     trace_events: bool,
     engine: RunEngine,
+    sabotage: ShardSabotage,
 ) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
     // The certified zero-copy hot path: whenever the frame-layout
     // certificate covers this side (every payload bound fits the fixed
@@ -849,11 +858,19 @@ pub fn record_end_to_end_trace_with(
     // heap-owning `DandcMsg` values. Both engines take the same path, so
     // the differential suite keeps comparing byte-identical artifacts.
     if wsn_core::framed_payload_fits(side) {
-        traced_topoquery_run::<wsn_net::FrameBuf>(side, per_cell, seed, trace_events, engine, |s| {
-            Box::new(wsn_runtime::FramedProgram::new(
-                wsn_topoquery::DandcProgram::new(s, 5.0),
-            ))
-        })
+        traced_topoquery_run::<wsn_net::FrameBuf>(
+            side,
+            per_cell,
+            seed,
+            trace_events,
+            engine,
+            sabotage,
+            |s| {
+                Box::new(wsn_runtime::FramedProgram::new(
+                    wsn_topoquery::DandcProgram::new(s, 5.0),
+                ))
+            },
+        )
     } else {
         traced_topoquery_run::<wsn_topoquery::DandcMsg>(
             side,
@@ -861,6 +878,7 @@ pub fn record_end_to_end_trace_with(
             seed,
             trace_events,
             engine,
+            sabotage,
             |s| Box::new(wsn_topoquery::DandcProgram::new(s, 5.0)),
         )
     }
@@ -874,6 +892,7 @@ fn traced_topoquery_run<P: Clone + 'static>(
     seed: u64,
     trace_events: bool,
     engine: RunEngine,
+    sabotage: ShardSabotage,
     make_program: impl Fn(u32) -> Box<dyn NodeProgram<P>> + 'static,
 ) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
     let field = blob_field(side, seed);
@@ -890,6 +909,7 @@ fn traced_topoquery_run<P: Clone + 'static>(
         move |c| f2.value(c),
     );
     rt.enable_telemetry(trace_events);
+    rt.plant_shard_sabotage(sabotage);
     let topo = rt.run_topology_emulation();
     assert!(topo.complete, "topology emulation must complete");
     let bind = rt.run_binding();
@@ -977,8 +997,9 @@ pub fn record_model_fidelity_trace_with(
 /// merged into the exported trace — the document the TC010 shard
 /// accounting check reconciles against the shard certificate.
 ///
-/// `skew` arms the runtime's `WSN_SHARD_SKEW` undercounting tap, the
-/// planted mutation the CI inverted check proves TC010 catches.
+/// `skew` plants the runtime's undercounting tap
+/// ([`ShardSabotage::UndercountTap`]), the mutation the CI inverted check
+/// proves TC010 catches.
 pub fn record_shard_metrics_trace(
     side: u32,
     per_cell: usize,
@@ -1007,16 +1028,13 @@ pub fn record_shard_metrics_trace(
     rt.install_programs(move |_| Box::new(wsn_topoquery::DandcProgram::new(side, 5.0)));
     rt.enable_causal_tracing();
     if skew {
-        std::env::set_var("WSN_SHARD_SKEW", "1");
+        rt.plant_shard_sabotage(ShardSabotage::UndercountTap);
     }
     let engine = RunEngine::Sharded {
         cut_level: u32::from(cut),
         workers: 1,
     };
     engine.run_application(&mut rt);
-    if skew {
-        std::env::remove_var("WSN_SHARD_SKEW");
-    }
     let mut doc = rt.record_trace();
     doc.absorb_registry(rt.shard_telemetry());
     doc

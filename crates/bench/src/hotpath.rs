@@ -137,9 +137,12 @@ pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> Hotp
 /// [`steady_state_hotpath`] with the telemetry registry switchable: the
 /// `telemetry` variant runs the same mission with every counter, gauge,
 /// and kernel metric live, so the bare-vs-instrumented throughput ratio
-/// is the `telemetry_overhead_pct` column the `--obs-gate` bounds. (The
-/// instrumented round is *allowed* to allocate — registry series are
-/// heap-keyed; only the bare configuration carries the no-alloc claim.)
+/// is the `telemetry_overhead_pct` column the `--obs-gate` bounds. The
+/// instrumented round records the kernel self-metrics into two
+/// preallocated fixed-bucket histograms, so its memory does not grow
+/// with the event count; it may still allocate when a registry series
+/// is first keyed, so only the bare configuration carries the no-alloc
+/// claim.
 pub fn steady_state_hotpath_with(
     side: u32,
     volleys: u64,

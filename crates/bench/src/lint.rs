@@ -14,6 +14,7 @@ use wsn_analyze::{
 };
 use wsn_core::{Hierarchy, ShardPlan};
 use wsn_obs::{Json, TraceDocument};
+use wsn_runtime::ShardSabotage;
 use wsn_synth::{
     quadtree_task_graph, synthesize_quadtree_program, Expr, Mapper, QuadTree, QuadrantMapper,
 };
@@ -515,10 +516,11 @@ pub fn certified_engine(
 ///    reference.
 ///
 /// Returns the number of differential comparisons performed, or a
-/// description of the first divergence. The `WSN_SHARD_MISORDER`
-/// sabotage knob (a deliberately misordered boundary merge) must make
-/// this gate fail — the CI inverted-mutation step.
-pub fn parallel_gate(workers: usize) -> Result<usize, String> {
+/// description of the first divergence. `sabotage` is planted in every
+/// sharded run; [`ShardSabotage::MisorderedMerge`] (a deliberately
+/// misordered boundary merge) must make this gate fail — the CI
+/// inverted-mutation step.
+pub fn parallel_gate(workers: usize, sabotage: ShardSabotage) -> Result<usize, String> {
     let (mutated, _) = certified_engine(4, 1, workers, true);
     if mutated != RunEngine::Sequential {
         return Err(
@@ -538,9 +540,16 @@ pub fn parallel_gate(workers: usize) -> Result<usize, String> {
             ));
         }
         for seed in [5u64, 6] {
-            let (seq_doc, seq_metrics) =
-                record_end_to_end_trace_with(side, 3, seed, true, RunEngine::Sequential);
-            let (par_doc, par_metrics) = record_end_to_end_trace_with(side, 3, seed, true, engine);
+            let (seq_doc, seq_metrics) = record_end_to_end_trace_with(
+                side,
+                3,
+                seed,
+                true,
+                RunEngine::Sequential,
+                ShardSabotage::None,
+            );
+            let (par_doc, par_metrics) =
+                record_end_to_end_trace_with(side, 3, seed, true, engine, sabotage);
             if seq_doc.to_jsonl() != par_doc.to_jsonl() {
                 return Err(format!(
                     "side {side} cut {cut} seed {seed}: sharded trace diverged from the \

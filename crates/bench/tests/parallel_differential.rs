@@ -7,15 +7,15 @@
 //! self-healing) rides in the matrix so the epoch-sliced driver is
 //! differenced too, not just the plain application run.
 //!
-//! The suite doubles as CI's mutation detector: with
-//! `WSN_SHARD_MISORDER=1` in the environment the sharded kernel merges
-//! boundary traffic in a deliberately wrong order, and this suite MUST
-//! fail (the workflow inverts the exit code to prove it has teeth).
+//! The suite proves it has teeth itself: with
+//! [`ShardSabotage::MisorderedMerge`] planted, the sharded kernel merges
+//! boundary traffic in a deliberately wrong order, and the same byte
+//! comparison must then report divergent cells.
 
 use wsn_bench::experiments::{record_end_to_end_trace_with, RunEngine};
 use wsn_core::{GridCoord, NodeApi, NodeProgram};
 use wsn_net::{ChaosPlan, DeliveryChaos, DeploymentSpec, LinkModel, RadioModel};
-use wsn_runtime::{ParallelConfig, PhysicalRuntime, SelfHealConfig};
+use wsn_runtime::{ParallelConfig, PhysicalRuntime, SelfHealConfig, ShardSabotage};
 use wsn_sim::SimTime;
 
 const SEEDS: [u64; 5] = [3, 5, 11, 21, 42];
@@ -47,12 +47,20 @@ impl NodeProgram<f64> for Gather {
     }
 }
 
-/// Sequential reference vs sharded run at every cut level, one side at a
-/// time so failures name the exact matrix cell.
-fn differential_matrix(side: u32) {
+/// Sequential reference vs sharded run (with `sabotage` planted) at
+/// every seed and cut level of one side; returns the matrix cells whose
+/// trace or metrics diverged.
+fn divergent_cells(side: u32, sabotage: ShardSabotage) -> Vec<String> {
+    let mut diverged = Vec::new();
     for seed in SEEDS {
-        let (seq_doc, seq_metrics) =
-            record_end_to_end_trace_with(side, 3, seed, true, RunEngine::Sequential);
+        let (seq_doc, seq_metrics) = record_end_to_end_trace_with(
+            side,
+            3,
+            seed,
+            true,
+            RunEngine::Sequential,
+            ShardSabotage::None,
+        );
         let seq_jsonl = seq_doc.to_jsonl();
         let seq_metrics = format!("{seq_metrics:?}");
         for cut_level in [1u32, 2] {
@@ -60,24 +68,40 @@ fn differential_matrix(side: u32) {
                 cut_level,
                 workers: 4,
             };
-            let (doc, metrics) = record_end_to_end_trace_with(side, 3, seed, true, engine);
-            assert_eq!(
-                doc.to_jsonl(),
-                seq_jsonl,
-                "side {side} seed {seed} cut {cut_level}: sharded trace diverged"
-            );
-            assert_eq!(
-                format!("{metrics:?}"),
-                seq_metrics,
-                "side {side} seed {seed} cut {cut_level}: sharded metrics diverged"
-            );
+            let (doc, metrics) =
+                record_end_to_end_trace_with(side, 3, seed, true, engine, sabotage);
+            if doc.to_jsonl() != seq_jsonl {
+                diverged.push(format!("seed {seed} cut {cut_level}: trace"));
+            }
+            if format!("{metrics:?}") != seq_metrics {
+                diverged.push(format!("seed {seed} cut {cut_level}: metrics"));
+            }
         }
     }
+    diverged
+}
+
+/// The clean matrix of one side: every cell byte-identical.
+fn differential_matrix(side: u32) {
+    let diverged = divergent_cells(side, ShardSabotage::None);
+    assert!(
+        diverged.is_empty(),
+        "side {side}: sharded runs diverged from the sequential reference: {diverged:?}"
+    );
 }
 
 #[test]
 fn side_4_sharded_traces_are_byte_identical() {
     differential_matrix(4);
+}
+
+#[test]
+fn planted_misorder_makes_the_byte_comparison_diverge() {
+    let diverged = divergent_cells(4, ShardSabotage::MisorderedMerge);
+    assert!(
+        diverged.iter().any(|cell| cell.ends_with("trace")),
+        "a misordered boundary merge went unnoticed by the side-4 byte comparison"
+    );
 }
 
 #[test]

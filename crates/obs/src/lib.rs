@@ -3,10 +3,11 @@
 //! Observability primitives shared by every layer of the reproduction:
 //!
 //! * [`Registry`] — named monotonic counters, gauges, and fixed-bucket
-//!   histograms behind a cheaply cloneable handle. The disabled registry
-//!   reduces every instrument call to a single `Option` check, so hot
-//!   paths (per-message counters in the routing layer, per-event kernel
-//!   metrics) can call it unconditionally.
+//!   histograms ([`FixedHistogram`], re-exported from `wsn-sim`) in one
+//!   shared [`wsn_sim::Stats`] store behind a cheaply cloneable handle.
+//!   The disabled registry reduces every instrument call to a single
+//!   `Option` check, so hot paths (per-message counters in the routing
+//!   layer) can call it unconditionally.
 //! * [`SpanRecorder`] / [`SpanNode`] — phase-scoped spans over simulated
 //!   time. The runtime driver opens a span per mission phase
 //!   (topology-emulation, binding, application) and per quadtree merge
@@ -53,10 +54,11 @@ pub use critpath::{extract_critical_path, CriticalPath, PathSegment, SegmentKind
 pub use diff::render_trace_diff;
 pub use flight::{FlightDump, FlightDumpRec, FlightParseError, FlightShard, FLIGHT_SCHEMA_VERSION};
 pub use json::{Json, JsonError};
-pub use registry::{labeled, split_labels, FixedHistogram, Registry, TICK_BUCKETS};
+pub use registry::{labeled, split_labels, Registry};
 pub use shardview::{shard_table, ShardRow, ShardTable};
 pub use span::{render_span_forest, SpanNode, SpanRecorder};
 pub use timeline::{render_timeline, TimelineConfig};
 pub use trace::{
     JsonlEventSink, NodeSnapshot, TraceDocument, TraceMeta, TraceParseError, TRACE_SCHEMA_VERSION,
 };
+pub use wsn_sim::{FixedHistogram, TICK_BUCKETS};

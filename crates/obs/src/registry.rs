@@ -1,15 +1,17 @@
 //! Named counters, gauges, and fixed-bucket histograms.
 //!
-//! A [`Registry`] is a cheaply cloneable handle to a shared metric store
-//! (nodes, the runtime driver, and the exporter all hold clones). The
+//! A [`Registry`] is a cheaply cloneable handle to a shared
+//! [`wsn_sim::Stats`] store (nodes, the runtime driver, and the exporter
+//! all hold clones) — the same store type the kernel's own statistics
+//! use, so there is one metrics substrate from kernel to exporter. The
 //! disabled registry holds no store at all, so every instrument call is a
 //! single `Option` discriminant check — hot paths can call it
 //! unconditionally.
 //!
 //! Counters are monotonic `u64`s, gauges are last-write-wins `f64`s, and
-//! histograms count observations into a fixed set of upper-bound buckets
-//! (Prometheus-style `le` semantics: bucket `i` counts values `<=
-//! uppers[i]`, with an implicit `+Inf` bucket at the end).
+//! histograms are [`FixedHistogram`]s: counts in a fixed set of
+//! upper-bound buckets (Prometheus-style `le` semantics: bucket `i` counts
+//! values `<= uppers[i]`, with an implicit `+Inf` bucket at the end).
 //!
 //! ## Label dimensions
 //!
@@ -21,9 +23,9 @@
 //! the Prometheus charset, label values escaped per the text format
 //! (`\` → `\\`, `"` → `\"`, newline → `\n`).
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
+use wsn_sim::{FixedHistogram, Stats};
 
 /// Builds a registry key carrying label dimensions: `name|k=v|k2=v2`.
 /// Keys compare textually, so series of one metric sort together.
@@ -48,183 +50,42 @@ pub fn split_labels(key: &str) -> (&str, Vec<(&str, &str)>) {
     (base, labels)
 }
 
-/// Default histogram buckets for tick-valued observations: powers of two
-/// up to 4096 ticks.
-pub const TICK_BUCKETS: [f64; 13] = [
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
-];
-
-/// A histogram with fixed upper-bound buckets plus count/sum/min/max.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedHistogram {
-    uppers: Vec<f64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl FixedHistogram {
-    /// Creates an empty histogram with the given strictly increasing
-    /// upper bounds (an `+Inf` bucket is added implicitly).
-    pub fn new(uppers: &[f64]) -> Self {
-        debug_assert!(
-            uppers.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        FixedHistogram {
-            uppers: uppers.to_vec(),
-            counts: vec![0; uppers.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: 0.0,
-            max: 0.0,
-        }
-    }
-
-    /// Creates a histogram with [`TICK_BUCKETS`].
-    pub fn ticks() -> Self {
-        FixedHistogram::new(&TICK_BUCKETS)
-    }
-
-    /// Rebuilds a histogram from exported parts (used by the JSONL parser).
-    pub fn from_parts(
-        uppers: Vec<f64>,
-        counts: Vec<u64>,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Self {
-        debug_assert_eq!(counts.len(), uppers.len() + 1);
-        FixedHistogram {
-            uppers,
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        let idx = self
-            .uppers
-            .iter()
-            .position(|&u| value <= u)
-            .unwrap_or(self.uppers.len());
-        self.counts[idx] += 1;
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Bucket upper bounds (excluding the implicit `+Inf`).
-    pub fn uppers(&self) -> &[f64] {
-        &self.uppers
-    }
-
-    /// Per-bucket counts; the final entry is the `+Inf` bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate quantile by linear interpolation inside the bucket
-    /// that crosses rank `q * count` (`q` in `[0, 1]`, clamped; a NaN `q`
-    /// reads as 0). An empty histogram reports every quantile as 0 —
-    /// finite, like [`mean`](Self::mean)/[`min`](Self::min)/
-    /// [`max`](Self::max) — so report renderers never print NaN.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q };
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if seen + c >= rank && c > 0 {
-                let lower = if i == 0 { self.min } else { self.uppers[i - 1] };
-                let upper = if i < self.uppers.len() {
-                    self.uppers[i]
-                } else {
-                    self.max
-                };
-                let frac = (rank - seen) as f64 / c as f64;
-                return (lower + (upper - lower) * frac).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, FixedHistogram>,
-}
-
 /// Shared handle to a metric store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Option<Rc<RefCell<Inner>>>,
+    store: Option<Rc<RefCell<Stats>>>,
 }
 
 impl Registry {
     /// A registry that records nothing; every call is a no-op.
     pub fn disabled() -> Self {
-        Registry { inner: None }
+        Registry { store: None }
     }
 
     /// A live registry; clones share the same store.
     pub fn enabled() -> Self {
         Registry {
-            inner: Some(Rc::new(RefCell::new(Inner::default()))),
+            store: Some(Rc::new(RefCell::new(Stats::new()))),
         }
     }
 
     /// Whether instrument calls record anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.store.is_some()
+    }
+
+    /// Applies `write` to the store when the registry is enabled.
+    #[inline]
+    fn write(&self, write: impl FnOnce(&mut Stats)) {
+        if let Some(store) = &self.store {
+            write(&mut store.borrow_mut());
+        }
+    }
+
+    /// Read access to the store (`None` when disabled).
+    pub fn stats(&self) -> Option<Ref<'_, Stats>> {
+        self.store.as_ref().map(|s| s.borrow())
     }
 
     /// Increments the named monotonic counter by 1.
@@ -236,139 +97,47 @@ impl Registry {
     /// Increments the named monotonic counter by `by`.
     #[inline]
     pub fn incr_by(&self, name: &str, by: u64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.counters.get_mut(name) {
-                *v += by;
-            } else {
-                inner.counters.insert(name.to_string(), by);
-            }
-        }
+        self.write(|s| s.add(name, by));
     }
 
     /// Sets the named gauge.
     #[inline]
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.gauges.get_mut(name) {
-                *v = value;
-            } else {
-                inner.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Adds to the named gauge (starting from 0).
-    #[inline]
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.gauges.get_mut(name) {
-                *v += delta;
-            } else {
-                inner.gauges.insert(name.to_string(), delta);
-            }
-        }
+        self.write(|s| s.set_gauge(name, value));
     }
 
     /// Records an observation into the named histogram, creating it with
-    /// [`TICK_BUCKETS`] on first use.
+    /// [`wsn_sim::TICK_BUCKETS`] on first use.
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &TICK_BUCKETS);
+        self.write(|s| s.observe(name, value));
     }
 
-    /// Records an observation, creating the histogram with the given
-    /// bucket bounds on first use (later calls ignore `buckets`).
-    #[inline]
-    pub fn observe_with(&self, name: &str, value: f64, buckets: &[f64]) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(h) = inner.histograms.get_mut(name) {
-                h.record(value);
-            } else {
-                let mut h = FixedHistogram::new(buckets);
-                h.record(value);
-                inner.histograms.insert(name.to_string(), h);
-            }
-        }
+    /// Installs a prebuilt histogram under `name`, replacing any earlier
+    /// snapshot (see [`Stats::install_histogram`]).
+    pub fn install_histogram(&self, name: &str, histogram: FixedHistogram) {
+        self.write(|s| s.install_histogram(name, histogram));
     }
 
     /// Current value of a counter (0 if never incremented or disabled).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().counters.get(name).copied())
-            .unwrap_or(0)
+        self.stats().map_or(0, |s| s.counter(name))
     }
 
     /// Current value of a gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().gauges.get(name).copied())
-    }
-
-    /// Installs a prebuilt histogram under `name` (merging by replace).
-    /// Used by recorders that aggregate outside the registry — e.g. the
-    /// per-shard window histograms the sharded kernel fills in plain
-    /// arrays — and publish the finished snapshot afterwards.
-    pub fn install_histogram(&self, name: &str, histogram: FixedHistogram) {
-        if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .histograms
-                .insert(name.to_string(), histogram);
-        }
+        self.stats().and_then(|s| s.gauge(name))
     }
 
     /// Snapshot of a histogram.
     pub fn histogram(&self, name: &str) -> Option<FixedHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().histograms.get(name).cloned())
+        self.stats().and_then(|s| s.histogram(name).cloned())
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .counters
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), v))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .gauges
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), v))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, FixedHistogram)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .histograms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            })
+        self.stats()
+            .map(|s| s.counters().map(|(k, v)| (k.to_string(), v)).collect())
             .unwrap_or_default()
     }
 
@@ -385,21 +154,24 @@ impl Registry {
             }
         }
         let mut out = String::new();
+        let Some(stats) = self.stats() else {
+            return out;
+        };
         let mut typed: Option<String> = None;
-        for (key, value) in self.counters() {
-            let (name, labels) = split_series(&key);
+        for (key, value) in stats.counters() {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "counter");
             out.push_str(&format!("{name}{labels} {value}\n"));
         }
         typed = None;
-        for (key, value) in self.gauges() {
-            let (name, labels) = split_series(&key);
+        for (key, value) in stats.gauges() {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "gauge");
             out.push_str(&format!("{name}{labels} {value}\n"));
         }
         typed = None;
-        for (key, h) in self.histograms() {
-            let (name, labels) = split_series(&key);
+        for (key, h) in stats.histograms() {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "histogram");
             let mut cumulative = 0u64;
             for (i, &c) in h.bucket_counts().iter().enumerate() {
@@ -504,65 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_add() {
+    fn gauges_are_last_write_wins() {
         let r = Registry::enabled();
         r.gauge_set("energy", 2.5);
-        r.gauge_add("energy", 1.5);
-        r.gauge_add("fresh", 1.0);
+        r.gauge_set("energy", 4.0);
         assert_eq!(r.gauge("energy"), Some(4.0));
-        assert_eq!(r.gauge("fresh"), Some(1.0));
-    }
-
-    #[test]
-    fn histogram_bucket_semantics() {
-        let mut h = FixedHistogram::new(&[1.0, 10.0]);
-        for v in [0.5, 1.0, 3.0, 10.0, 11.0] {
-            h.record(v);
-        }
-        // le=1: {0.5, 1.0}; le=10: {3, 10}; +Inf: {11}.
-        assert_eq!(h.bucket_counts(), &[2, 2, 1]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 25.5);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 11.0);
-        assert!((h.mean() - 5.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_ordered_and_bounded() {
-        let mut h = FixedHistogram::ticks();
-        for v in 0..1000 {
-            h.record(f64::from(v % 97));
-        }
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        assert!(q50 <= q99);
-        assert!(q50 >= h.min() && q99 <= h.max());
-    }
-
-    #[test]
-    fn empty_histogram_percentiles_are_finite_zeros() {
-        let h = FixedHistogram::ticks();
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0.0);
-        }
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        // The whole summary row a report renderer would print is finite.
-        assert!(h.quantile(0.5).is_finite());
-    }
-
-    #[test]
-    fn quantile_tolerates_out_of_range_and_nan_q() {
-        let mut h = FixedHistogram::new(&[10.0]);
-        h.record(4.0);
-        h.record(6.0);
-        assert_eq!(h.quantile(-3.0), h.quantile(0.0));
-        assert_eq!(h.quantile(7.0), h.quantile(1.0));
-        let q = h.quantile(f64::NAN);
-        assert!(q.is_finite());
-        assert_eq!(q, h.quantile(0.0));
     }
 
     #[test]
@@ -580,12 +298,13 @@ mod tests {
         let r = Registry::enabled();
         r.incr("app.messages");
         r.gauge_set("energy.total", 1.25);
-        r.observe_with("latency", 3.0, &[1.0, 4.0]);
+        r.observe("latency", 3.0);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE app_messages counter"));
         assert!(text.contains("app_messages 1"));
         assert!(text.contains("# TYPE energy_total gauge"));
         assert!(text.contains("energy_total 1.25"));
+        assert!(text.contains("latency_bucket{le=\"2\"} 0"));
         assert!(text.contains("latency_bucket{le=\"4\"} 1"));
         assert!(text.contains("latency_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("latency_count 1"));
@@ -653,10 +372,11 @@ mod tests {
     fn prometheus_merges_le_into_histogram_label_sets() {
         let r = Registry::enabled();
         let key = labeled("shard.window", &[("shard", "1")]);
-        r.observe_with(&key, 3.0, &[1.0, 4.0]);
-        r.observe_with(&key, 9.0, &[1.0, 4.0]);
+        r.observe(&key, 3.0);
+        r.observe(&key, 9.0);
         let text = r.render_prometheus();
         assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"4\"} 1\n"));
+        assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"16\"} 2\n"));
         assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("shard_window_sum{shard=\"1\"} 12\n"));
         assert!(text.contains("shard_window_count{shard=\"1\"} 2\n"));

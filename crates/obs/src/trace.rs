@@ -21,12 +21,14 @@
 //! kernel memory.
 
 use crate::json::Json;
-use crate::registry::{FixedHistogram, Registry};
+use crate::registry::Registry;
 use crate::span::SpanNode;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use wsn_sim::{CausalEvent, CausalKind, SimTime, TraceEntry, TraceKind, TraceSink};
+use wsn_sim::{
+    CausalEvent, CausalKind, FixedHistogram, SimTime, Stats, TraceEntry, TraceKind, TraceSink,
+};
 
 /// The JSONL trace schema this writer emits and this reader understands.
 /// Bumped on any incompatible record-shape change; see
@@ -132,11 +134,23 @@ impl TraceDocument {
         TraceDocument::default()
     }
 
-    /// Copies every counter, gauge, and histogram out of `registry`.
+    /// Copies every counter, gauge, and histogram out of `registry`
+    /// (nothing when it is disabled); see [`TraceDocument::absorb_stats`].
     pub fn absorb_registry(&mut self, registry: &Registry) {
-        self.counters.extend(registry.counters());
-        self.gauges.extend(registry.gauges());
-        self.histograms.extend(registry.histograms());
+        if let Some(stats) = registry.stats() {
+            self.absorb_stats(&stats);
+        }
+    }
+
+    /// Appends every counter, gauge, and histogram of `stats`, each kind
+    /// in key order, after whatever the document already holds.
+    pub fn absorb_stats(&mut self, stats: &Stats) {
+        self.counters
+            .extend(stats.counters().map(|(k, v)| (k.to_string(), v)));
+        self.gauges
+            .extend(stats.gauges().map(|(k, v)| (k.to_string(), v)));
+        self.histograms
+            .extend(stats.histograms().map(|(k, h)| (k.to_string(), h.clone())));
     }
 
     /// Counter value by name (0 when absent).

@@ -34,13 +34,11 @@ use wsn_net::{
     SharedMedium, UnitDiskGraph,
 };
 use wsn_obs::{
-    labeled, FixedHistogram, FlightDump, NodeSnapshot, Registry, SpanNode, SpanRecorder,
-    TraceDocument, TraceMeta,
+    labeled, FlightDump, NodeSnapshot, Registry, SpanNode, SpanRecorder, TraceDocument, TraceMeta,
 };
 use wsn_sim::{
     order_tap, shared_causal_log, ActorId, FlightRecorder, Kernel, RunReport, ShardObs,
-    ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason, Tracer, WindowHist,
-    WINDOW_HIST_UPPERS,
+    ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason, Tracer,
 };
 
 /// Result of one topology-emulation run.
@@ -217,6 +215,24 @@ impl ParallelConfig {
     }
 }
 
+/// A defect planted in the sharded engine on purpose, so the mutation
+/// checks can prove that the differential suite and the TC010 shard
+/// reconciliation notice it. Real runs leave it at
+/// [`ShardSabotage::None`]; see [`PhysicalRuntime::plant_shard_sabotage`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ShardSabotage {
+    /// No defect.
+    #[default]
+    None,
+    /// Reverses the window barrier's boundary merge
+    /// ([`ShardSchedule::with_misordered_merge`]).
+    MisorderedMerge,
+    /// Drops shard 0's first dispatch of every window from its event
+    /// counter ([`ShardObs::with_undercount_tap`]).
+    UndercountTap,
+}
+
 /// A deployed network executing the runtime system.
 pub struct PhysicalRuntime<P: Clone + 'static> {
     kernel: Kernel<RtMsg<P>>,
@@ -251,6 +267,9 @@ pub struct PhysicalRuntime<P: Clone + 'static> {
     /// Reusable per-cell leader scratch for the self-heal loop — the
     /// steady-state hot path must not allocate per epoch.
     leader_scratch: Vec<Option<usize>>,
+    /// Planted sharded-engine defect; [`ShardSabotage::None`] outside
+    /// the mutation checks.
+    sabotage: ShardSabotage,
 }
 
 impl<P: Clone + 'static> PhysicalRuntime<P> {
@@ -332,6 +351,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             causal: None,
             tx_scratch: Vec::new(),
             leader_scratch: Vec::new(),
+            sabotage: ShardSabotage::None,
         }
     }
 
@@ -347,6 +367,15 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         if trace_events {
             self.kernel.set_tracer(Tracer::enabled());
         }
+    }
+
+    /// Plants `sabotage` in every later sharded run: a misordered
+    /// boundary merge must fail the differential comparison, and an
+    /// undercounting tap must fail TC010. Never use outside those
+    /// mutation checks.
+    #[doc(hidden)]
+    pub fn plant_shard_sabotage(&mut self, sabotage: ShardSabotage) {
+        self.sabotage = sabotage;
     }
 
     /// The telemetry registry (disabled and empty unless
@@ -781,10 +810,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             })
             .collect();
         let schedule = ShardSchedule::new(map, plan.shard_count()).with_workers(cfg.workers);
-        // Sabotage knob for the CI inverted-mutation step: a deliberately
-        // misordered boundary merge must make the differential suite
-        // fail. Never set outside that check.
-        if std::env::var_os("WSN_SHARD_MISORDER").is_some() {
+        if self.sabotage == ShardSabotage::MisorderedMerge {
             schedule.with_misordered_merge()
         } else {
             schedule
@@ -813,12 +839,10 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         // Per-shard accounting rides along whenever telemetry is on. The
         // arrays are write-only bookkeeping outside every kernel
         // observable, so the bit-identical contract with the sequential
-        // engine is untouched. WSN_SHARD_SKEW is the sabotage knob for
-        // the CI inverted-mutation step: an undercounting tap must make
-        // the TC010 reconciliation fail. Never set outside that check.
+        // engine is untouched.
         let mut obs = if self.shard_telemetry.is_enabled() {
             let obs = ShardObs::new(schedule.shard_count());
-            Some(if std::env::var_os("WSN_SHARD_SKEW").is_some() {
+            Some(if self.sabotage == ShardSabotage::UndercountTap {
                 obs.with_undercount_tap()
             } else {
                 obs
@@ -878,7 +902,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             t.gauge_set(&labeled("shard.queue.depth.mean", &l), mean);
             t.install_histogram(
                 &labeled("shard.window.events", &l),
-                window_hist_to_fixed(obs.window_hist(slot)),
+                obs.window_hist(slot).clone(),
             );
             if slot < shards {
                 t.incr_by(&labeled("shard.cross.staged", &l), obs.cross_staged(slot));
@@ -1015,16 +1039,16 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             else {
                 continue;
             };
-            let (Some(min), Some(max)) = (h.min(), h.max()) else {
+            if h.count() == 0 {
                 continue;
-            };
+            }
             levels.push((
                 level,
                 SpanNode::leaf(
                     format!("merge-level-{level}"),
-                    SimTime::from_ticks(min as u64),
-                    SimTime::from_ticks(max as u64),
-                    h.count() as u64,
+                    SimTime::from_ticks(h.min() as u64),
+                    SimTime::from_ticks(h.max() as u64),
+                    h.count(),
                 ),
             ));
         }
@@ -1051,19 +1075,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         });
         doc.spans = self.spans.roots().to_vec();
         doc.absorb_registry(&self.telemetry);
-        for (key, value) in self.kernel.stats().counters() {
-            doc.counters.push((key.to_string(), value));
-        }
-        for (key, value) in self.kernel.stats().gauges() {
-            doc.gauges.push((key.to_string(), value));
-        }
-        for (key, h) in self.kernel.stats().histograms() {
-            let mut fixed = FixedHistogram::ticks();
-            for &v in h.values() {
-                fixed.record(v);
-            }
-            doc.histograms.push((key.to_string(), fixed));
-        }
+        doc.absorb_stats(self.kernel.stats());
         let medium = self.medium.borrow();
         let ledger = medium.ledger();
         doc.gauges
@@ -1445,19 +1457,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     pub fn events_total(&self) -> u64 {
         self.events_total
     }
-}
-
-/// Converts the kernel's fixed-array per-window histogram into the
-/// registry's [`FixedHistogram`] for publication.
-fn window_hist_to_fixed(h: &WindowHist) -> FixedHistogram {
-    FixedHistogram::from_parts(
-        WINDOW_HIST_UPPERS.iter().map(|&u| u as f64).collect(),
-        h.counts.to_vec(),
-        h.count,
-        h.sum as f64,
-        h.min as f64,
-        h.max as f64,
-    )
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ const NIL: u32 = u32::MAX;
 /// Buckets are chains of fixed-size chunks drawn from one free list: a
 /// chunk returns to the list the moment it empties, so a draining tick
 /// hands its memory straight to the tick that is filling, and a warm
-/// queue settles without allocating. [`EventQueue::drain_all`] releases
+/// queue settles without allocating. `EventQueue::drain_all` releases
 /// the chunks.
 #[derive(Debug)]
 pub struct EventQueue<M> {

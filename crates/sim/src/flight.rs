@@ -10,8 +10,9 @@
 //!
 //! * [`ShardObs`] — fixed per-slot accounting arrays the sharded
 //!   scheduler fills while it runs: events dispatched, cross-shard
-//!   events staged/applied, barrier-stall units, and per-lane queue
-//!   depth. Every update is an array index; nothing allocates after
+//!   events staged/applied, barrier-stall units, per-lane queue depth,
+//!   and a preallocated [`FixedHistogram`] of window sizes per slot.
+//!   Every update is an array index; nothing allocates after
 //!   construction, and nothing is written into the kernel's own stats,
 //!   tracer, or metrics — the bit-identical-observables contract of
 //!   [`crate::shard`] is untouched.
@@ -30,58 +31,13 @@
 //! already drained. Summed over windows it ranks exactly the quadrants
 //! that would idle real OS threads.
 
+use crate::stats::FixedHistogram;
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind};
 
 /// Bucket upper bounds for the per-shard window-size histograms
 /// (events dispatched by one slot in one window).
-pub const WINDOW_HIST_UPPERS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
-
-/// A fixed-bucket histogram of per-window dispatch counts; plain arrays
-/// so recording never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowHist {
-    /// Bucket counts: one per upper bound plus the overflow bucket.
-    pub counts: [u64; WINDOW_HIST_UPPERS.len() + 1],
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-}
-
-impl Default for WindowHist {
-    fn default() -> Self {
-        WindowHist {
-            counts: [0; WINDOW_HIST_UPPERS.len() + 1],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-impl WindowHist {
-    fn record(&mut self, v: u64) {
-        let idx = WINDOW_HIST_UPPERS
-            .iter()
-            .position(|&u| v <= u)
-            .unwrap_or(WINDOW_HIST_UPPERS.len());
-        self.counts[idx] += 1;
-        if self.count == 0 || v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-}
+pub const WINDOW_HIST_UPPERS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// Per-slot dispatch accounting filled by
 /// [`Kernel::run_sharded_observed`](crate::kernel::Kernel); slots are the
@@ -96,7 +52,7 @@ pub struct ShardObs {
     barrier_stall: Vec<u64>,
     depth_max: Vec<u64>,
     depth_sum: Vec<u64>,
-    window_hist: Vec<WindowHist>,
+    window_hist: Vec<FixedHistogram>,
     /// Scratch: this window's per-slot dispatch counts.
     window_events: Vec<u64>,
     windows: u64,
@@ -116,7 +72,7 @@ impl ShardObs {
             barrier_stall: vec![0; slots],
             depth_max: vec![0; slots],
             depth_sum: vec![0; slots],
-            window_hist: vec![WindowHist::default(); slots],
+            window_hist: vec![FixedHistogram::new(&WINDOW_HIST_UPPERS); slots],
             window_events: vec![0; slots],
             windows: 0,
             undercount: false,
@@ -192,7 +148,7 @@ impl ShardObs {
     }
 
     /// Histogram of `slot`'s per-window dispatch counts.
-    pub fn window_hist(&self, slot: usize) -> &WindowHist {
+    pub fn window_hist(&self, slot: usize) -> &FixedHistogram {
         &self.window_hist[slot]
     }
 
@@ -238,7 +194,7 @@ impl ShardObs {
             if slot < shards {
                 self.barrier_stall[slot] += straggler - own;
             }
-            self.window_hist[slot].record(own);
+            self.window_hist[slot].record(own as f64);
             self.window_events[slot] = 0;
         }
         self.windows += 1;
@@ -486,8 +442,8 @@ mod tests {
         assert_eq!(obs.cross_applied(1), 1);
         assert_eq!(obs.cross_total(), 1);
         assert_eq!(obs.depth_max(0), 5);
-        assert_eq!(obs.window_hist(0).max, 3);
-        assert_eq!(obs.window_hist(0).count, 1);
+        assert_eq!(obs.window_hist(0).max(), 3.0);
+        assert_eq!(obs.window_hist(0).count(), 1);
     }
 
     #[test]
@@ -513,22 +469,26 @@ mod tests {
         // 4 + 1 dispatches, two windows with shard-0 activity: 2 leaked.
         assert_eq!(obs.total_events(), 3);
         // The window histograms still see the true counts.
-        assert_eq!(obs.window_hist(0).sum, 4);
+        assert_eq!(obs.window_hist(0).sum(), 4.0);
     }
 
     #[test]
     fn window_hist_buckets_and_bounds() {
-        let mut h = WindowHist::default();
-        h.record(0);
-        h.record(1);
-        h.record(3);
-        h.record(1000);
-        assert_eq!(h.count, 4);
-        assert_eq!(h.sum, 1004);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 1000);
-        assert_eq!(h.counts[0], 2); // 0 and 1 both <= 1
-        assert_eq!(h.counts[2], 1); // 3 <= 4
-        assert_eq!(h.counts[WINDOW_HIST_UPPERS.len()], 1); // overflow
+        let mut obs = ShardObs::new(1);
+        for events in [0, 1, 3, 1000] {
+            for _ in 0..events {
+                obs.note_dispatch(0);
+            }
+            obs.end_window();
+        }
+        let h = obs.window_hist(0);
+        assert_eq!(h.uppers(), &WINDOW_HIST_UPPERS);
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (4, 1004.0, 0.0, 1000.0)
+        );
+        assert_eq!(h.bucket_counts()[0], 2); // 0 and 1 both <= 1
+        assert_eq!(h.bucket_counts()[2], 1); // 3 <= 4
+        assert_eq!(h.bucket_counts()[WINDOW_HIST_UPPERS.len()], 1); // overflow
     }
 }

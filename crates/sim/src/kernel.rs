@@ -3,7 +3,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::flight::FlightRecorder;
 use crate::rng::DetRng;
-use crate::stats::Stats;
+use crate::stats::{FixedHistogram, Stats};
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind, Tracer};
 use std::any::Any;
@@ -175,13 +175,14 @@ pub struct Kernel<M: Payload> {
     /// warm kernel reuse its capacity instead of allocating a fresh
     /// outbox per run (the no-alloc gate measures exactly this path).
     outbox_scratch: Vec<(SimTime, ActorId, EventKind<M>)>,
-    /// Per-run self-metrics staging (dispatch latencies, queue depths):
-    /// the hot loop pushes raw observations here and
-    /// [`Kernel::flush_metrics_scratch`] folds them into the named
-    /// stats histograms at run exit — a string-keyed map lookup per
-    /// *run* instead of two per *event*, which is what keeps the
-    /// instrumented hot path inside the `--obs-gate` overhead bound.
-    pub(crate) metrics_scratch: (Vec<f64>, Vec<f64>),
+    /// Per-run self-metrics ([`METRIC_DISPATCH_LATENCY`],
+    /// [`METRIC_QUEUE_DEPTH`]): the hot loop records straight into these
+    /// two tick-bucket histograms and [`Kernel::flush_self_metrics`]
+    /// merges them into the named stats histograms at run exit — a
+    /// string-keyed map lookup per *run* instead of two per *event*, and
+    /// constant memory however many events the run dispatches.
+    pub(crate) dispatch_latency: FixedHistogram,
+    pub(crate) queue_depth: FixedHistogram,
 }
 
 impl<M: Payload> Kernel<M> {
@@ -199,7 +200,8 @@ impl<M: Payload> Kernel<M> {
             flight: None,
             started: false,
             outbox_scratch: Vec::new(),
-            metrics_scratch: (Vec::new(), Vec::new()),
+            dispatch_latency: FixedHistogram::ticks(),
+            queue_depth: FixedHistogram::ticks(),
         }
     }
 
@@ -227,23 +229,29 @@ impl<M: Payload> Kernel<M> {
     /// Enables kernel self-metrics: each dispatched event records
     /// [`METRIC_DISPATCH_LATENCY`] and [`METRIC_QUEUE_DEPTH`] into the
     /// stats sink. Off by default — the hot loop then pays only a bool
-    /// check. When on, the per-event cost is two vector pushes into a
-    /// capacity-retaining scratch; the named histograms materialize
-    /// when the run returns (see the `--obs-gate` overhead bound).
+    /// check. When on, the per-event cost is two bucket increments in
+    /// kernel-held histograms; the named histograms materialize when the
+    /// run returns (see the `--obs-gate` overhead bound).
     pub fn enable_metrics(&mut self) {
         self.metrics = true;
     }
 
-    /// Folds the per-run metrics scratch into the named stats
-    /// histograms, in dispatch order. Every run exit point (sequential
-    /// and sharded) calls this, so [`Kernel::stats`] readers between
-    /// runs see exactly what per-event `observe` calls would have
-    /// produced — without paying a string-keyed map lookup per event.
-    pub(crate) fn flush_metrics_scratch(&mut self) {
-        self.stats
-            .observe_drain(METRIC_DISPATCH_LATENCY, &mut self.metrics_scratch.0);
-        self.stats
-            .observe_drain(METRIC_QUEUE_DEPTH, &mut self.metrics_scratch.1);
+    /// Merges the per-run self-metric histograms into the named stats
+    /// histograms and clears them. Every run exit point (sequential and
+    /// sharded) calls this, so [`Kernel::stats`] readers between runs see
+    /// exactly what per-event `observe` calls would have produced. An
+    /// empty histogram is skipped, so a run that dispatched nothing adds
+    /// no key.
+    pub(crate) fn flush_self_metrics(&mut self) {
+        for (key, h) in [
+            (METRIC_DISPATCH_LATENCY, &mut self.dispatch_latency),
+            (METRIC_QUEUE_DEPTH, &mut self.queue_depth),
+        ] {
+            if h.count() > 0 {
+                self.stats.merge_histogram(key, h);
+                h.clear();
+            }
+        }
     }
 
     /// Whether kernel self-metrics are being recorded.
@@ -445,8 +453,8 @@ impl<M: Payload> Kernel<M> {
 
             if self.metrics {
                 let latency = ev.time.ticks().saturating_sub(ev.enqueued_at.ticks());
-                self.metrics_scratch.0.push(latency as f64);
-                self.metrics_scratch.1.push(self.queue.len() as f64);
+                self.dispatch_latency.record(latency as f64);
+                self.queue_depth.record(self.queue.len() as f64);
             }
 
             if self.tracer.is_enabled() || self.flight.is_some() {
@@ -500,7 +508,7 @@ impl<M: Payload> Kernel<M> {
             }
         };
         self.outbox_scratch = outbox;
-        self.flush_metrics_scratch();
+        self.flush_self_metrics();
         report
     }
 }
@@ -719,15 +727,15 @@ mod tests {
             .stats()
             .histogram(METRIC_DISPATCH_LATENCY)
             .expect("latency histogram");
-        assert_eq!(latency.count() as u64, report.events_processed);
+        assert_eq!(latency.count(), report.events_processed);
         // Every reply is sent with delay 1, so latency is 1 for all events
         // after the externally injected kickoff (latency 0).
-        assert_eq!(latency.max(), Some(1.0));
+        assert_eq!(latency.max(), 1.0);
         let depth = k
             .stats()
             .histogram(METRIC_QUEUE_DEPTH)
             .expect("depth histogram");
-        assert_eq!(depth.count() as u64, report.events_processed);
+        assert_eq!(depth.count(), report.events_processed);
     }
 
     #[test]

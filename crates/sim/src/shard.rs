@@ -304,7 +304,7 @@ impl<M: Payload> Kernel<M> {
                 }
             }
             kernel.queue.set_next_seq(next_seq);
-            kernel.flush_metrics_scratch();
+            kernel.flush_self_metrics();
         };
 
         loop {
@@ -516,8 +516,8 @@ impl<M: Payload> Kernel<M> {
                 pending -= 1;
                 if self.metrics {
                     let latency = rec.time.ticks().saturating_sub(rec.enqueued_at.ticks());
-                    self.metrics_scratch.0.push(latency as f64);
-                    self.metrics_scratch.1.push(pending as f64);
+                    self.dispatch_latency.record(latency as f64);
+                    self.queue_depth.record(pending as f64);
                 }
                 pending += n_pushes;
                 if let Some(entry) = &rec.trace {

@@ -1,21 +1,211 @@
-//! Run statistics: named counters, histograms, and time series.
+//! Run statistics: named counters, gauges, and fixed-bucket histograms.
 //!
 //! Protocols under test report what they did (messages sent, boundary
 //! crossings suppressed, merge operations performed, …) through the
 //! [`Stats`] sink carried by the kernel; the experiment harness reads the
 //! totals back after the run. Keys are plain strings so that each crate can
 //! define its own vocabulary without a central registry.
+//!
+//! [`FixedHistogram`] is the workspace's one histogram type: kernel
+//! self-metrics, actor observations, per-shard window sizes, and the
+//! telemetry registry all count into fixed upper-bound buckets, so memory
+//! stays bounded however many values a run observes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A set of named counters, gauges, histograms and time series.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// Default histogram buckets for tick-valued observations: powers of two
+/// up to 4096 ticks.
+pub const TICK_BUCKETS: [f64; 13] = [
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
+];
+
+/// A histogram with fixed upper-bound buckets plus count/sum/min/max.
+///
+/// Buckets follow Prometheus `le` semantics: bucket `i` counts values
+/// `<= uppers[i]`, with an implicit `+Inf` bucket at the end.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedHistogram {
+    uppers: Vec<f64>,
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl FixedHistogram {
+    /// Creates an empty histogram with the given strictly increasing
+    /// upper bounds (an `+Inf` bucket is added implicitly).
+    pub fn new(uppers: &[f64]) -> Self {
+        debug_assert!(
+            uppers.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        FixedHistogram {
+            uppers: uppers.to_vec(),
+            counts: vec![0; uppers.len() + 1],
+            count: 0,
+            sum: 0.0,
+            min: 0.0,
+            max: 0.0,
+        }
+    }
+
+    /// Creates a histogram with [`TICK_BUCKETS`].
+    pub fn ticks() -> Self {
+        FixedHistogram::new(&TICK_BUCKETS)
+    }
+
+    /// Rebuilds a histogram from exported parts (used by the JSONL parser).
+    pub fn from_parts(
+        uppers: Vec<f64>,
+        counts: Vec<u64>,
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+    ) -> Self {
+        debug_assert_eq!(counts.len(), uppers.len() + 1);
+        FixedHistogram {
+            uppers,
+            counts,
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
+    /// Records one observation. Never allocates.
+    pub fn record(&mut self, value: f64) {
+        let idx = self
+            .uppers
+            .iter()
+            .position(|&u| value <= u)
+            .unwrap_or(self.uppers.len());
+        self.counts[idx] += 1;
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum += value;
+    }
+
+    /// Adds every observation of `other` (same bucket bounds) to this
+    /// histogram: the result equals recording both streams into one.
+    /// Sums of integer-valued observations stay exact, so merging per-run
+    /// or per-event histograms reproduces the one-stream totals bit for bit.
+    pub fn merge(&mut self, other: &FixedHistogram) {
+        assert_eq!(self.uppers, other.uppers, "merging mismatched buckets");
+        if other.count == 0 {
+            return;
+        }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        if self.count == 0 {
+            self.min = other.min;
+            self.max = other.max;
+        } else {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
+    /// Forgets every observation, keeping the bucket bounds (and storage).
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0.0;
+        self.min = 0.0;
+        self.max = 0.0;
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all observations.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Smallest observation (0 when empty).
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Largest observation (0 when empty).
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// Mean observation (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Bucket upper bounds (excluding the implicit `+Inf`).
+    pub fn uppers(&self) -> &[f64] {
+        &self.uppers
+    }
+
+    /// Per-bucket counts; the final entry is the `+Inf` bucket.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Approximate quantile by linear interpolation inside the bucket
+    /// that crosses rank `q * count` (`q` in `[0, 1]`, clamped; a NaN `q`
+    /// reads as 0). An empty histogram reports every quantile as 0 —
+    /// finite, like [`mean`](Self::mean)/[`min`](Self::min)/
+    /// [`max`](Self::max) — so report renderers never print NaN.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let q = if q.is_nan() { 0.0 } else { q };
+        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if seen + c >= rank && c > 0 {
+                let lower = if i == 0 { self.min } else { self.uppers[i - 1] };
+                let upper = if i < self.uppers.len() {
+                    self.uppers[i]
+                } else {
+                    self.max
+                };
+                let frac = (rank - seen) as f64 / c as f64;
+                return (lower + (upper - lower) * frac).clamp(self.min, self.max);
+            }
+            seen += c;
+        }
+        self.max
+    }
+}
+
+/// A set of named counters, gauges and histograms.
+///
+/// Every write is allocation-free once its key exists: the key is looked
+/// up through `get_mut` and cloned only on first touch, so per-event
+/// instruments settle after their first use and stay off the heap — the
+/// invariant the no-alloc gate (`wsn-lint --alloc-gate`) measures.
+#[derive(Debug, Default, Clone)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
+    histograms: BTreeMap<String, FixedHistogram>,
 }
 
 impl Stats {
@@ -25,11 +215,6 @@ impl Stats {
     }
 
     /// Adds `delta` to the counter `key` (creating it at zero).
-    ///
-    /// The fast path is allocation-free: a counter that already exists is
-    /// bumped through `get_mut` without cloning the key, so per-event
-    /// counters settle after their first touch and stay off the heap —
-    /// the invariant the no-alloc gate (`wsn-lint --alloc-gate`) measures.
     pub fn add(&mut self, key: &str, delta: u64) {
         match self.counters.get_mut(key) {
             Some(v) => *v += delta,
@@ -49,8 +234,7 @@ impl Stats {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge `key` to `value`. Allocation-free once the gauge
-    /// exists, like [`Stats::add`].
+    /// Sets the gauge `key` to `value`.
     pub fn set_gauge(&mut self, key: &str, value: f64) {
         match self.gauges.get_mut(key) {
             Some(v) => *v = value,
@@ -65,60 +249,41 @@ impl Stats {
         self.gauges.get(key).copied()
     }
 
-    /// Records `value` into the histogram `key`. The key lookup is
-    /// allocation-free once the histogram exists; the record itself
-    /// appends to the sample vector (amortized growth).
+    /// Records `value` into the histogram `key`, creating it with
+    /// [`TICK_BUCKETS`] on first use.
     pub fn observe(&mut self, key: &str, value: f64) {
         match self.histograms.get_mut(key) {
             Some(h) => h.record(value),
             None => {
-                let mut h = Histogram::default();
+                let mut h = FixedHistogram::ticks();
                 h.record(value);
                 self.histograms.insert(key.to_owned(), h);
             }
         }
     }
 
-    /// Drains `values` into the histogram `key` in order: one key
-    /// lookup for the whole batch instead of one per observation. The
-    /// vector keeps its capacity, so a per-run scratch buffer settles
-    /// after its first fill. This is the flush half of the kernel's
-    /// self-metrics fast path — the hot loop pushes raw observations
-    /// into plain vectors and folds them here when the run returns.
-    pub fn observe_drain(&mut self, key: &str, values: &mut Vec<f64>) {
-        if values.is_empty() {
-            return;
-        }
-        if !self.histograms.contains_key(key) {
-            self.histograms.insert(key.to_owned(), Histogram::default());
-        }
-        let h = self.histograms.get_mut(key).expect("just ensured");
-        for v in values.drain(..) {
-            h.record(v);
-        }
-    }
-
-    /// The histogram `key`, if any value was ever observed.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Appends `(tick, value)` to the time series `key`. The key lookup
-    /// is allocation-free once the series exists.
-    pub fn sample(&mut self, key: &str, tick: u64, value: f64) {
-        match self.series.get_mut(key) {
-            Some(s) => s.push(tick, value),
+    /// Merges `histogram` into the histogram `key` (see
+    /// [`FixedHistogram::merge`]), creating it as a copy on first use.
+    pub fn merge_histogram(&mut self, key: &str, histogram: &FixedHistogram) {
+        match self.histograms.get_mut(key) {
+            Some(h) => h.merge(histogram),
             None => {
-                let mut s = TimeSeries::default();
-                s.push(tick, value);
-                self.series.insert(key.to_owned(), s);
+                self.histograms.insert(key.to_owned(), histogram.clone());
             }
         }
     }
 
-    /// The time series `key`, if any sample was recorded.
-    pub fn time_series(&self, key: &str) -> Option<&TimeSeries> {
-        self.series.get(key)
+    /// Replaces the histogram `key` with a prebuilt snapshot. Used by
+    /// recorders that aggregate outside the store — e.g. the per-shard
+    /// window histograms the sharded kernel fills — and publish the
+    /// finished snapshot afterwards.
+    pub fn install_histogram(&mut self, key: &str, histogram: FixedHistogram) {
+        self.histograms.insert(key.to_owned(), histogram);
+    }
+
+    /// The histogram `key`, if any value was ever observed.
+    pub fn histogram(&self, key: &str) -> Option<&FixedHistogram> {
+        self.histograms.get(key)
     }
 
     /// Iterates over all counters in key order.
@@ -132,139 +297,23 @@ impl Stats {
     }
 
     /// Iterates over all histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &FixedHistogram)> {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
 
     /// Merges another sink into this one (counters add, gauges overwrite,
-    /// histograms and series concatenate). Used by parallel sweeps.
+    /// histograms merge bucket by bucket). Used by parallel sweeps and by
+    /// the sharded kernel's canonical-order emission.
     pub fn absorb(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.counters {
+            self.add(k, v);
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
+        for (k, &v) in &other.gauges {
+            self.set_gauge(k, v);
         }
         for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for &v in &h.values {
-                dst.record(v);
-            }
+            self.merge_histogram(k, h);
         }
-        for (k, s) in &other.series {
-            let dst = self.series.entry(k.clone()).or_default();
-            for &(t, v) in &s.points {
-                dst.push(t, v);
-            }
-        }
-    }
-}
-
-/// An exact histogram that stores every observation.
-///
-/// Experiment populations are at most a few million values, so exactness is
-/// affordable and keeps quantiles honest.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.values.push(value);
-        self.sorted = false;
-    }
-
-    /// All observations in insertion order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.sum() / self.values.len() as f64)
-        }
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(a) => a.min(x),
-            })
-        })
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(a) => a.max(x),
-            })
-        })
-    }
-
-    /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var =
-            self.values.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / self.values.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Exact quantile `q ∈ [0,1]` by nearest-rank, or `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]");
-        if !self.sorted {
-            self.values
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            self.sorted = true;
-        }
-        let idx = ((q * (self.values.len() - 1) as f64).round()) as usize;
-        Some(self.values[idx])
-    }
-}
-
-/// An append-only `(tick, value)` series.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Appends one sample.
-    pub fn push(&mut self, tick: u64, value: f64) {
-        self.points.push((tick, value));
-    }
-
-    /// All samples in insertion order.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Last sample, if any.
-    pub fn last(&self) -> Option<(u64, f64)> {
-        self.points.last().copied()
     }
 }
 
@@ -291,49 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_moments() {
-        let mut h = Histogram::default();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Some(2.5));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(4.0));
-        let sd = h.std_dev().unwrap();
-        assert!((sd - 1.118).abs() < 1e-3);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::default();
-        for v in 0..101 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.quantile(0.0), Some(0.0));
-        assert_eq!(h.quantile(0.5), Some(50.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn empty_histogram_is_none() {
-        let mut h = Histogram::default();
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.std_dev(), None);
-    }
-
-    #[test]
-    fn time_series_preserves_order() {
-        let mut s = Stats::new();
-        s.sample("energy", 1, 10.0);
-        s.sample("energy", 5, 8.0);
-        let ts = s.time_series("energy").unwrap();
-        assert_eq!(ts.points(), &[(1, 10.0), (5, 8.0)]);
-        assert_eq!(ts.last(), Some((5, 8.0)));
-    }
-
-    #[test]
     fn absorb_merges_everything() {
         let mut a = Stats::new();
         a.add("tx", 2);
@@ -342,13 +348,17 @@ mod tests {
         b.add("tx", 3);
         b.add("rx", 1);
         b.observe("lat", 3.0);
-        b.sample("e", 1, 1.0);
+        b.observe("fresh", 9.0);
         b.set_gauge("g", 7.0);
         a.absorb(&b);
         assert_eq!(a.counter("tx"), 5);
         assert_eq!(a.counter("rx"), 1);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.time_series("e").unwrap().points().len(), 1);
+        let lat = a.histogram("lat").unwrap();
+        assert_eq!(
+            (lat.count(), lat.sum(), lat.min(), lat.max()),
+            (2, 4.0, 1.0, 3.0)
+        );
+        assert_eq!(a.histogram("fresh").unwrap().count(), 1);
         assert_eq!(a.gauge("g"), Some(7.0));
     }
 
@@ -373,6 +383,114 @@ mod tests {
         assert_eq!(gauges, vec![("a", 2.0), ("z", 1.0)]);
         let hists: Vec<&str> = s.histograms().map(|(k, _)| k).collect();
         assert_eq!(hists, vec!["lat"]);
-        assert_eq!(s.histograms().next().unwrap().1.values(), &[3.0, 5.0]);
+        let lat = s.histograms().next().unwrap().1;
+        assert_eq!(lat.uppers(), &TICK_BUCKETS);
+        assert_eq!((lat.count(), lat.sum()), (2, 8.0));
+    }
+
+    #[test]
+    fn histogram_bucket_semantics() {
+        let mut h = FixedHistogram::new(&[1.0, 10.0]);
+        for v in [0.5, 1.0, 3.0, 10.0, 11.0] {
+            h.record(v);
+        }
+        // le=1: {0.5, 1.0}; le=10: {3, 10}; +Inf: {11}.
+        assert_eq!(h.bucket_counts(), &[2, 2, 1]);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 25.5);
+        assert_eq!(h.min(), 0.5);
+        assert_eq!(h.max(), 11.0);
+        assert!((h.mean() - 5.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_quantiles_are_ordered_and_bounded() {
+        let mut h = FixedHistogram::ticks();
+        for v in 0..1000 {
+            h.record(f64::from(v % 97));
+        }
+        let q50 = h.quantile(0.5);
+        let q99 = h.quantile(0.99);
+        assert!(q50 <= q99);
+        assert!(q50 >= h.min() && q99 <= h.max());
+    }
+
+    #[test]
+    fn empty_histogram_percentiles_are_finite_zeros() {
+        let h = FixedHistogram::ticks();
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 0.0);
+        }
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.min(), 0.0);
+        assert_eq!(h.max(), 0.0);
+    }
+
+    #[test]
+    fn quantile_tolerates_out_of_range_and_nan_q() {
+        let mut h = FixedHistogram::new(&[10.0]);
+        h.record(4.0);
+        h.record(6.0);
+        assert_eq!(h.quantile(-3.0), h.quantile(0.0));
+        assert_eq!(h.quantile(7.0), h.quantile(1.0));
+        let q = h.quantile(f64::NAN);
+        assert!(q.is_finite());
+        assert_eq!(q, h.quantile(0.0));
+    }
+
+    fn recorded(values: &[f64]) -> FixedHistogram {
+        let mut h = FixedHistogram::ticks();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    #[test]
+    fn merge_with_empty_sides() {
+        let empty = FixedHistogram::ticks();
+        let mut both_empty = empty.clone();
+        both_empty.merge(&empty);
+        assert_eq!(both_empty, empty);
+
+        let x = recorded(&[3.0, 7.0]);
+        let mut empty_then_x = empty.clone();
+        empty_then_x.merge(&x);
+        assert_eq!(empty_then_x, x);
+
+        let mut x_then_empty = x.clone();
+        x_then_empty.merge(&empty);
+        assert_eq!(x_then_empty, x);
+    }
+
+    #[test]
+    fn merge_equals_recording_in_sequence() {
+        // Negative, zero, in-bucket, and +Inf-bucket values on both
+        // sides, with the extremes split across the two halves.
+        let first = [5.0, 0.0, 4096.0, 2.0];
+        let second = [-3.0, 9000.0, 1.0, 17.0, 5.0];
+        let mut merged = recorded(&first);
+        merged.merge(&recorded(&second));
+        let all: Vec<f64> = first.iter().chain(&second).copied().collect();
+        let sequential = recorded(&all);
+        assert_eq!(merged.bucket_counts(), sequential.bucket_counts());
+        assert_eq!(merged.count(), sequential.count());
+        assert_eq!(merged.sum(), sequential.sum());
+        assert_eq!(merged.min(), sequential.min());
+        assert_eq!(merged.max(), sequential.max());
+        assert_eq!(merged, sequential);
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched buckets")]
+    fn merge_refuses_mismatched_buckets() {
+        FixedHistogram::ticks().merge(&FixedHistogram::new(&[1.0]));
+    }
+
+    #[test]
+    fn clear_forgets_observations_but_keeps_bounds() {
+        let mut h = recorded(&[3.0, 300.0]);
+        h.clear();
+        assert_eq!(h, FixedHistogram::ticks());
     }
 }
